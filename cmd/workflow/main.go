@@ -215,7 +215,6 @@ func runtimeDemo(w io.Writer, nodes int, p float64, maxQubits, parallelism int,
 		SolverSpec:     qaoa2.SolverSpec{Name: solverName, Seed: seed},
 		MergeSpec:      qaoa2.SolverSpec{Name: mergeName, Seed: seed},
 		Seed:           seed,
-		Runtime:        true,
 		CheckpointPath: checkpoint,
 		OnRuntimeEvent: func(ev qaoa2.RuntimeEvent) {
 			switch ev.Kind {

@@ -99,7 +99,6 @@ func main() {
 		Solver:         qaoa2.AnnealSolver{},
 		MergeSolver:    qaoa2.AnnealSolver{},
 		Seed:           9,
-		Runtime:        true,
 		CheckpointPath: ckpt,
 		OnRuntimeEvent: func(ev qaoa2.RuntimeEvent) {
 			switch {

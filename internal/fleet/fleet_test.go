@@ -68,11 +68,14 @@ type testWorker struct {
 // the listener closes, so in-flight streams die mid-line and new
 // dials are refused. The serve.Server keeps running (a real crashed
 // process would not, but the fleet cannot tell the difference through
-// a dead socket).
+// a dead socket). The listener closes first and keep-alives go off, so
+// no connection dialed while the kill runs outlives it and keeps
+// answering probes.
 func (w *testWorker) kill() {
 	w.killed = true
-	w.hs.CloseClientConnections()
 	w.hs.Listener.Close()
+	w.hs.Config.SetKeepAlivesEnabled(false)
+	w.hs.CloseClientConnections()
 }
 
 // startFleet spins up n in-process workers plus a coordinator wired

@@ -105,6 +105,16 @@ func (w *World) Rank(r int) (*Comm, error) {
 	return &Comm{world: w, rank: r}, nil
 }
 
+// Post hands payload to rank `to` from outside the world — an
+// in-process client queueing work on a rank — without counting it as
+// traffic. Recv reports the message's source as AnySource.
+func (w *World) Post(to, tag int, payload interface{}) {
+	if to < 0 || to >= w.size {
+		panic(fmt.Sprintf("hpc: Post to invalid rank %d", to))
+	}
+	w.boxes[to] <- message{from: AnySource, tag: tag, payload: payload}
+}
+
 // Comm is one rank's handle on the world.
 type Comm struct {
 	world *World

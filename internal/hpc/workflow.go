@@ -6,9 +6,10 @@ import (
 
 	"qaoa2/internal/graph"
 	"qaoa2/internal/maxcut"
-	"qaoa2/internal/partition"
 	"qaoa2/internal/qaoa2"
 	"qaoa2/internal/rng"
+	rt "qaoa2/internal/runtime"
+	"qaoa2/internal/solver"
 )
 
 // Policy decides, per sub-graph, which solver runs it — the paper's
@@ -40,11 +41,11 @@ type CoordinatedOptions struct {
 	Policy Policy
 	// Solver is the fallback solver when Policy is nil (default QAOA).
 	Solver qaoa2.SubSolver
-	// MergeSolver solves the contracted merge graph at the coordinator
-	// (default: Solver).
+	// MergeSolver solves the contracted merge graphs in-process, like
+	// qaoa2.Options.MergeSolver (default: Solver).
 	MergeSolver qaoa2.SubSolver
-	// Seed derives deterministic per-sub-graph randomness: results do
-	// not depend on which worker handled which sub-graph.
+	// Seed derives the runtime's per-task randomness: results do not
+	// depend on which worker handled which sub-graph.
 	Seed uint64
 }
 
@@ -53,14 +54,16 @@ type CoordinatedResult struct {
 	Cut       maxcut.Cut
 	SubGraphs int
 	Levels    int
-	// Assignments records the solver name per sub-graph index.
+	// Assignments records the policy's solver name per first-level
+	// sub-graph index.
 	Assignments []string
 	// WorkerBusy is wall-clock solve time per worker; the spread
 	// measures load balance.
 	WorkerBusy []time.Duration
-	// Elapsed is the end-to-end wall time; CoordinatorOverhead is
-	// Elapsed minus the critical path of worker busy time, the "minimal
-	// overhead incurred by the coordination" the paper reports.
+	// Elapsed is the wall time of the distributed phase, from the
+	// first sub-graph dispatch to the last result; Elapsed minus the
+	// worker busy time measures the "minimal overhead incurred by the
+	// coordination" the paper reports.
 	Elapsed time.Duration
 	// Comm is the message traffic between coordinator and workers.
 	Comm WorldStats
@@ -68,30 +71,39 @@ type CoordinatedResult struct {
 
 // message tags for the coordinator protocol.
 const (
+	// tagTask carries a job from the coordinator to a worker.
 	tagTask = iota + 1
-	tagResult
+	// tagInbox carries everything the coordinator receives: jobs
+	// posted by dispatchers, results from workers, and the stop
+	// signal.
+	tagInbox
 )
 
-// task ships one sub-graph to a worker; index -1 is the stop signal.
-type task struct {
-	index int
-	sub   *graph.Graph
+// job is one sub-graph solve routed through the coordinator.
+type job struct {
+	sub    *graph.Graph
+	solver qaoa2.SubSolver
+	r      *rng.Rand
+	reply  chan taskResult
 }
+
+// stop releases the coordinator once the solve has drained.
+type stop struct{}
 
 // taskResult returns a sub-graph solution.
 type taskResult struct {
-	index  int
-	cut    maxcut.Cut
-	worker int
-	busy   time.Duration
+	cut  maxcut.Cut
+	err  error
+	busy time.Duration
 }
 
-// CoordinatedSolve runs QAOA² as the paper's Fig. 2 workflow: a
-// dedicated coordinator rank partitions the graph, streams sub-graphs to
-// worker ranks on demand (first-come-first-served, so fast workers take
-// more), collects the cuts, and performs the merge. Sub-graph randomness
-// is derived from the sub-graph index, making the final cut independent
-// of work distribution timing.
+// CoordinatedSolve runs QAOA² as the paper's Fig. 2 workflow on the
+// task-graph runtime: the runtime partitions and merges, and every
+// first-level sub-graph solve is dispatched through the dedicated
+// coordinator rank to a worker rank on demand (first-come-first-served,
+// so fast workers take more). Per-task randomness comes from the
+// runtime, so the result is exactly qaoa2.Solve's for the same solvers
+// and seed, independent of the worker count.
 func CoordinatedSolve(g *graph.Graph, opts CoordinatedOptions) (*CoordinatedResult, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 4
@@ -110,111 +122,134 @@ func CoordinatedSolve(g *graph.Graph, opts CoordinatedOptions) (*CoordinatedResu
 		policy = func(*graph.Graph) qaoa2.SubSolver { return opts.Solver }
 	}
 
-	parts, err := partition.SizeCapped(g, opts.MaxQubits)
-	if err != nil {
-		return nil, err
-	}
-	nParts := len(parts)
-
-	// Pre-compute sub-graphs and solver assignments at the coordinator
-	// ("inspect the sub-graphs ... in advance").
-	subs := make([]*graph.Graph, nParts)
-	solvers := make([]qaoa2.SubSolver, nParts)
-	names := make([]string, nParts)
-	for i, part := range parts {
-		sub, _, err := g.InducedSubgraph(part)
-		if err != nil {
-			return nil, err
-		}
-		subs[i] = sub
-		solvers[i] = policy(sub)
-		names[i] = solvers[i].Name()
-	}
-
 	world, err := NewWorld(opts.Workers + 1)
 	if err != nil {
 		return nil, err
 	}
-
-	cuts := make([]maxcut.Cut, nParts)
 	busy := make([]time.Duration, opts.Workers)
-	begin := time.Now()
-
-	world.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			coordinator(c, subs, cuts, busy)
-			return
-		}
-		worker(c, solvers, opts.Seed)
-	})
-	elapsed := time.Since(begin)
-
-	merged, levels, err := qaoa2.MergeSubSolutions(g, parts, cuts, qaoa2.Options{
+	var elapsed time.Duration
+	ranksDone := make(chan struct{})
+	go func() {
+		defer close(ranksDone)
+		world.Run(func(c *Comm) {
+			if c.Rank() == 0 {
+				elapsed = coordinator(c, busy)
+				return
+			}
+			worker(c)
+		})
+	}()
+	res, err := rt.Solve(g, rt.Options{
 		MaxQubits:   opts.MaxQubits,
-		Solver:      opts.MergeSolver,
+		Solver:      dispatcher{policy: policy, world: world},
 		MergeSolver: opts.MergeSolver,
+		Parallelism: opts.Workers,
 		Seed:        opts.Seed,
 	})
+	world.Post(0, tagInbox, stop{})
+	<-ranksDone
 	if err != nil {
 		return nil, err
 	}
 
+	assignments := make([]string, len(res.SubReports))
+	for i, r := range res.SubReports {
+		assignments[i] = r.Solver
+	}
 	return &CoordinatedResult{
-		Cut:         merged,
-		SubGraphs:   nParts,
-		Levels:      levels,
-		Assignments: names,
+		Cut:         res.Cut,
+		SubGraphs:   res.SubGraphs,
+		Levels:      res.Levels,
+		Assignments: assignments,
 		WorkerBusy:  busy,
 		Elapsed:     elapsed,
 		Comm:        world.Stats(),
 	}, nil
 }
 
-// coordinator streams tasks on demand and collects results.
-func coordinator(c *Comm, subs []*graph.Graph, cuts []maxcut.Cut, busy []time.Duration) {
-	workers := c.Size() - 1
-	next := 0
-	// Seed every worker with one task.
-	for w := 1; w <= workers && next < len(subs); w++ {
-		c.Send(w, tagTask, task{index: next, sub: subs[next]}, graphBytes(subs[next]))
-		next++
+// dispatcher is the leaf solver CoordinatedSolve hands the runtime: it
+// picks the solver by policy ("inspect the sub-graphs ... in advance")
+// and hands the solve to the coordinator rank, blocking until a worker
+// returns the cut.
+type dispatcher struct {
+	policy Policy
+	world  *World
+}
+
+// Name implements solver.Solver.
+func (d dispatcher) Name() string { return "coordinated" }
+
+// SolveSub implements solver.Solver.
+func (d dispatcher) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
+	cut, _, err := d.SolveSubAttributed(g, r)
+	return cut, err
+}
+
+// SolveSubAttributed implements solver.Attributor: the sub-report names
+// the solver the policy chose.
+func (d dispatcher) SolveSubAttributed(g *graph.Graph, r *rng.Rand) (maxcut.Cut, solver.Report, error) {
+	s := d.policy(g)
+	j := &job{sub: g, solver: s, r: r, reply: make(chan taskResult, 1)}
+	d.world.Post(0, tagInbox, j)
+	res := <-j.reply
+	if res.err != nil {
+		return maxcut.Cut{}, solver.Report{}, fmt.Errorf("hpc: %s: %w", s.Name(), res.err)
 	}
-	for done := 0; done < len(subs); done++ {
-		payload, from := c.Recv(AnySource, tagResult)
-		res := payload.(taskResult)
-		cuts[res.index] = res.cut
-		busy[res.worker-1] += res.busy
-		if next < len(subs) {
-			c.Send(from, tagTask, task{index: next, sub: subs[next]}, graphBytes(subs[next]))
-			next++
+	return res.cut, solver.Report{Winner: s.Name()}, nil
+}
+
+// coordinator is rank 0, the only goroutine touching its Comm: it ships
+// every posted job to a free worker, routes each result back to its
+// dispatcher, and releases the workers on stop. It returns the span
+// from the first job's arrival to the last result.
+func coordinator(c *Comm, busy []time.Duration) time.Duration {
+	var first, last time.Time
+	free := make([]int, 0, c.Size()-1)
+	for w := 1; w < c.Size(); w++ {
+		free = append(free, w)
+	}
+	var queued []*job
+	running := make(map[int]*job, c.Size()-1)
+	for {
+		payload, from := c.Recv(AnySource, tagInbox)
+		switch m := payload.(type) {
+		case *job:
+			if first.IsZero() {
+				first = time.Now()
+			}
+			queued = append(queued, m)
+		case taskResult:
+			last = time.Now()
+			busy[from-1] += m.busy
+			running[from].reply <- m
+			delete(running, from)
+			free = append(free, from)
+		case stop:
+			for w := 1; w < c.Size(); w++ {
+				c.Send(w, tagTask, (*job)(nil), 0)
+			}
+			return last.Sub(first)
 		}
-	}
-	// Release the workers (index -1 = stop).
-	for w := 1; w <= workers; w++ {
-		c.Send(w, tagTask, task{index: -1}, 0)
+		for len(queued) > 0 && len(free) > 0 {
+			w, j := free[0], queued[0]
+			free, queued = free[1:], queued[1:]
+			running[w] = j
+			c.Send(w, tagTask, j, graphBytes(j.sub))
+		}
 	}
 }
 
-// worker pulls tasks until the stop sentinel arrives. Per-task
-// randomness derives from the task index so results are
-// placement-independent.
-func worker(c *Comm, solvers []qaoa2.SubSolver, seed uint64) {
+// worker solves jobs until the nil stop job arrives.
+func worker(c *Comm) {
 	for {
 		payload, _ := c.Recv(0, tagTask)
-		t := payload.(task)
-		if t.index < 0 {
+		j := payload.(*job)
+		if j == nil {
 			return
 		}
 		start := time.Now()
-		cut, err := solvers[t.index].SolveSub(t.sub, rng.New(seed).Split(uint64(t.index)+0x517c))
-		busyFor := time.Since(start)
-		if err != nil {
-			// The world re-raises the panic and the caller surfaces it;
-			// sub-solvers failing on supported graphs is a programming
-			// error.
-			panic(fmt.Sprintf("hpc: worker %d sub-graph %d: %v", c.Rank(), t.index, err))
-		}
-		c.Send(0, tagResult, taskResult{index: t.index, cut: cut, worker: c.Rank(), busy: busyFor}, len(cut.Spins))
+		cut, err := j.solver.SolveSub(j.sub, j.r)
+		c.Send(0, tagInbox, taskResult{cut: cut, err: err, busy: time.Since(start)}, len(cut.Spins))
 	}
 }
 

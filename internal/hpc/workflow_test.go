@@ -1,13 +1,27 @@
 package hpc
 
 import (
+	"errors"
+	"sort"
+	"strings"
 	"testing"
 
 	"qaoa2/internal/graph"
 	"qaoa2/internal/maxcut"
+	"qaoa2/internal/partition"
 	"qaoa2/internal/qaoa2"
 	"qaoa2/internal/rng"
 )
+
+// policySolver applies a Policy inside one plain solver, so
+// qaoa2.Solve runs exactly the leaves CoordinatedSolve dispatches.
+type policySolver struct{ policy Policy }
+
+func (p policySolver) Name() string { return "policy" }
+
+func (p policySolver) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
+	return p.policy(g).SolveSub(g, r)
+}
 
 func TestCoordinatedSolveExactLeaves(t *testing.T) {
 	r := rng.New(1)
@@ -36,32 +50,109 @@ func TestCoordinatedSolveExactLeaves(t *testing.T) {
 	}
 }
 
+// TestCoordinatedMatchesInProcessQAOA2: the coordinator workflow is the
+// runtime with leaves dispatched over the comm world, so with
+// randomized leaves routed by a density policy it must return
+// qaoa2.Solve's cut bit for bit at every worker count, and record the
+// policy's choice for every sub-graph.
 func TestCoordinatedMatchesInProcessQAOA2(t *testing.T) {
-	// With deterministic sub-solvers and index-derived seeds, the
-	// coordinated run must produce exactly the cut of the in-process
-	// qaoa2.Solve using identical partitioning and seeding.
-	r := rng.New(2)
-	g := graph.ErdosRenyi(36, 0.2, graph.Unweighted, r)
-	coord, err := CoordinatedSolve(g, CoordinatedOptions{
-		Workers:     4,
-		MaxQubits:   7,
-		Solver:      qaoa2.ExactSolver{},
-		MergeSolver: qaoa2.ExactSolver{},
-		Seed:        9,
-	})
+	g := graph.ErdosRenyi(48, 0.2, graph.UniformWeights, rng.New(2))
+	const maxQubits, seed = 8, 9
+	parts, err := partition.SizeCapped(g, maxQubits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Exact solvers ignore randomness, so both paths yield optimal
-	// sub-cuts; merge uses the same exact solver.
+	subs := make([]*graph.Graph, len(parts))
+	densities := make([]float64, len(parts))
+	for i, part := range parts {
+		if subs[i], _, err = g.InducedSubgraph(part); err != nil {
+			t.Fatal(err)
+		}
+		densities[i] = subs[i].Density()
+	}
+	sort.Float64s(densities)
+	// The median density splits the sub-graphs between both solvers.
+	policy := DensityPolicy(densities[len(densities)/2-1],
+		qaoa2.AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: 30}}, qaoa2.GWSolver{})
+
 	direct, err := qaoa2.Solve(g, qaoa2.Options{
-		MaxQubits: 7, Solver: qaoa2.ExactSolver{}, MergeSolver: qaoa2.ExactSolver{}, Seed: 9,
+		MaxQubits:   maxQubits,
+		Solver:      policySolver{policy},
+		MergeSolver: qaoa2.GWSolver{},
+		Seed:        seed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if coord.Cut.Value != direct.Cut.Value {
-		t.Fatalf("coordinated %v != direct %v", coord.Cut.Value, direct.Cut.Value)
+	for _, workers := range []int{1, 5} {
+		res, err := CoordinatedSolve(g, CoordinatedOptions{
+			Workers:     workers,
+			MaxQubits:   maxQubits,
+			Policy:      policy,
+			MergeSolver: qaoa2.GWSolver{},
+			Seed:        seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cut.Value != direct.Cut.Value || res.Levels != direct.Levels ||
+			res.SubGraphs != direct.SubGraphs || res.SubGraphs != len(parts) {
+			t.Fatalf("workers=%d: value/levels/sub-graphs %v/%d/%d, qaoa2.Solve %v/%d/%d (%d parts)",
+				workers, res.Cut.Value, res.Levels, res.SubGraphs,
+				direct.Cut.Value, direct.Levels, direct.SubGraphs, len(parts))
+		}
+		if err := res.Cut.Validate(g); err != nil {
+			t.Fatal(err)
+		}
+		for v := range direct.Cut.Spins {
+			if res.Cut.Spins[v] != direct.Cut.Spins[v] {
+				t.Fatalf("workers=%d: spin %d differs from qaoa2.Solve", workers, v)
+			}
+		}
+		if len(res.WorkerBusy) != workers || len(res.Assignments) != len(parts) {
+			t.Fatalf("workers=%d: %d busy entries, %d assignments for %d parts",
+				workers, len(res.WorkerBusy), len(res.Assignments), len(parts))
+		}
+		used := map[string]bool{}
+		for i, sub := range subs {
+			if want := policy(sub).Name(); res.Assignments[i] != want {
+				t.Fatalf("workers=%d: sub-graph %d assigned %q, policy chose %q",
+					workers, i, res.Assignments[i], want)
+			}
+			used[res.Assignments[i]] = true
+		}
+		if len(used) != 2 {
+			t.Fatalf("workers=%d: policy routed every sub-graph to %v", workers, used)
+		}
+		// One task and one result message per sub-graph, plus one stop
+		// per worker.
+		if want := int64(2*len(parts) + workers); res.Comm.Messages != want {
+			t.Fatalf("workers=%d: %d messages, want %d", workers, res.Comm.Messages, want)
+		}
+	}
+}
+
+// failSolver always errors.
+type failSolver struct{}
+
+func (failSolver) Name() string { return "fail" }
+
+func (failSolver) SolveSub(*graph.Graph, *rng.Rand) (maxcut.Cut, error) {
+	return maxcut.Cut{}, errors.New("device offline")
+}
+
+// A failing leaf surfaces as CoordinatedSolve's error after the ranks
+// shut down, rather than taking the process down.
+func TestCoordinatedLeafErrorReturned(t *testing.T) {
+	g := graph.ErdosRenyi(30, 0.2, graph.Unweighted, rng.New(8))
+	_, err := CoordinatedSolve(g, CoordinatedOptions{
+		Workers:     3,
+		MaxQubits:   8,
+		Solver:      failSolver{},
+		MergeSolver: qaoa2.ExactSolver{},
+	})
+	if err == nil || !strings.Contains(err.Error(), "device offline") {
+		t.Fatalf("err = %v, want the leaf failure", err)
 	}
 }
 

@@ -14,8 +14,7 @@ import (
 // composite run's SubReport.Solver always names the member that
 // ACTUALLY produced the kept cut — verified independently by re-running
 // every member standalone on the same derived rng streams — and the
-// attribution is bit-identical at every Parallelism, on the
-// synchronous and the task-graph runtime paths alike. Wall-time
+// attribution is bit-identical at every Parallelism. Wall-time
 // telemetry (Attempts[i].Nanos) is explicitly outside the invariant.
 
 // attributionMembers is the composite pool under test: deterministic,
@@ -70,77 +69,74 @@ func TestAttributionNamesActualWinnerEverywhere(t *testing.T) {
 	}
 	for label, comp := range composites {
 		var want *Result
-		for _, useRuntime := range []bool{false, true} {
-			for _, par := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-				res, err := Solve(g, Options{
-					MaxQubits:   6,
-					Partition:   parts,
-					Solver:      comp,
-					MergeSolver: OneExchangeSolver{},
-					Parallelism: par,
-					Seed:        seed,
-					Runtime:     useRuntime,
-				})
-				if err != nil {
-					t.Fatalf("%s runtime=%v par=%d: %v", label, useRuntime, par, err)
+		for _, par := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+			res, err := Solve(g, Options{
+				MaxQubits:   6,
+				Partition:   parts,
+				Solver:      comp,
+				MergeSolver: OneExchangeSolver{},
+				Parallelism: par,
+				Seed:        seed,
+			})
+			if err != nil {
+				t.Fatalf("%s par=%d: %v", label, par, err)
+			}
+			// Invariant 1: the reported solver is the recomputed
+			// winner, and the reported value is its value.
+			distinct := map[string]bool{}
+			for i, sr := range res.SubReports {
+				wantName, wantValue := expectedWinner(t, g, parts[i], i, seed)
+				if sr.Solver != wantName || sr.Value != wantValue {
+					t.Fatalf("%s par=%d: part %d attributed %q/%v, independent recomputation says %q/%v",
+						label, par, i, sr.Solver, sr.Value, wantName, wantValue)
 				}
-				// Invariant 1: the reported solver is the recomputed
-				// winner, and the reported value is its value.
-				distinct := map[string]bool{}
-				for i, sr := range res.SubReports {
-					wantName, wantValue := expectedWinner(t, g, parts[i], i, seed)
-					if sr.Solver != wantName || sr.Value != wantValue {
-						t.Fatalf("%s runtime=%v par=%d: part %d attributed %q/%v, independent recomputation says %q/%v",
-							label, useRuntime, par, i, sr.Solver, sr.Value, wantName, wantValue)
+				distinct[sr.Solver] = true
+				// Invariant 2: attempts cover every member in pool
+				// order, and the winner's attempt carries the kept
+				// value.
+				if len(sr.Attempts) != len(attributionMembers()) {
+					t.Fatalf("%s: part %d has %d attempts, want %d",
+						label, i, len(sr.Attempts), len(attributionMembers()))
+				}
+				winnerSeen := false
+				for j, member := range attributionMembers() {
+					if sr.Attempts[j].Solver != member.Name() {
+						t.Fatalf("%s: part %d attempt %d names %q, want %q",
+							label, i, j, sr.Attempts[j].Solver, member.Name())
 					}
-					distinct[sr.Solver] = true
-					// Invariant 2: attempts cover every member in pool
-					// order, and the winner's attempt carries the kept
-					// value.
-					if len(sr.Attempts) != len(attributionMembers()) {
-						t.Fatalf("%s: part %d has %d attempts, want %d",
-							label, i, len(sr.Attempts), len(attributionMembers()))
-					}
-					winnerSeen := false
-					for j, member := range attributionMembers() {
-						if sr.Attempts[j].Solver != member.Name() {
-							t.Fatalf("%s: part %d attempt %d names %q, want %q",
-								label, i, j, sr.Attempts[j].Solver, member.Name())
-						}
-						if sr.Attempts[j].Solver == sr.Solver && sr.Attempts[j].Value == sr.Value {
-							winnerSeen = true
-						}
-					}
-					if !winnerSeen {
-						t.Fatalf("%s: part %d winner %q not among its attempts %+v",
-							label, i, sr.Solver, sr.Attempts)
+					if sr.Attempts[j].Solver == sr.Solver && sr.Attempts[j].Value == sr.Value {
+						winnerSeen = true
 					}
 				}
-				// The pool must be genuinely competitive or this test
-				// proves nothing.
-				if len(distinct) < 2 {
-					t.Fatalf("%s: every part won by %v — pool not competitive, pick other members", label, distinct)
+				if !winnerSeen {
+					t.Fatalf("%s: part %d winner %q not among its attempts %+v",
+						label, i, sr.Solver, sr.Attempts)
 				}
-				// Invariant 3: bit-identical (modulo Nanos) across every
-				// parallelism and both paths.
-				if want == nil {
-					want = res
-					continue
+			}
+			// The pool must be genuinely competitive or this test
+			// proves nothing.
+			if len(distinct) < 2 {
+				t.Fatalf("%s: every part won by %v — pool not competitive, pick other members", label, distinct)
+			}
+			// Invariant 3: bit-identical (modulo Nanos) across every
+			// parallelism.
+			if want == nil {
+				want = res
+				continue
+			}
+			if want.Cut.Value != res.Cut.Value {
+				t.Fatalf("%s par=%d: value %v, first run %v",
+					label, par, res.Cut.Value, want.Cut.Value)
+			}
+			for v := range want.Cut.Spins {
+				if want.Cut.Spins[v] != res.Cut.Spins[v] {
+					t.Fatalf("%s par=%d: spin %d diverged", label, par, v)
 				}
-				if want.Cut.Value != res.Cut.Value {
-					t.Fatalf("%s runtime=%v par=%d: value %v, first run %v",
-						label, useRuntime, par, res.Cut.Value, want.Cut.Value)
-				}
-				for v := range want.Cut.Spins {
-					if want.Cut.Spins[v] != res.Cut.Spins[v] {
-						t.Fatalf("%s runtime=%v par=%d: spin %d diverged", label, useRuntime, par, v)
-					}
-				}
-				for i := range want.SubReports {
-					if !sameSubReport(want.SubReports[i], res.SubReports[i]) {
-						t.Fatalf("%s runtime=%v par=%d: sub-report %d diverged:\n%+v\n%+v",
-							label, useRuntime, par, i, want.SubReports[i], res.SubReports[i])
-					}
+			}
+			for i := range want.SubReports {
+				if !sameSubReport(want.SubReports[i], res.SubReports[i]) {
+					t.Fatalf("%s par=%d: sub-report %d diverged:\n%+v\n%+v",
+						label, par, i, want.SubReports[i], res.SubReports[i])
 				}
 			}
 		}

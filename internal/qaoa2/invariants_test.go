@@ -11,14 +11,15 @@ import (
 )
 
 // The QAOA² divide-and-conquer invariants, property-tested across
-// random graph ensembles, seeds, qubit budgets and both execution
-// paths (synchronous recursion and task-graph runtime):
+// random graph ensembles, seeds and qubit budgets:
 //
 //  1. IntraCut + CrossCut == Cut.Value (1e-9)
 //  2. every spin is ±1 and every node carries one (disjoint cover)
 //  3. Cut.Value equals the maxcut recomputation from the spins
 //  4. first-level sub-reports respect the qubit budget
-//  5. the runtime path returns the synchronous path's Result exactly
+//  5. the Result does not depend on the worker-pool size
+//
+// golden_test.go pins the exact results of the pre-runtime recursion.
 
 // checkInvariants asserts 1–4 on one solve result.
 func checkInvariants(t *testing.T, label string, g *graph.Graph, res *Result, maxQubits int) {
@@ -56,38 +57,40 @@ func checkInvariants(t *testing.T, label string, g *graph.Graph, res *Result, ma
 	}
 }
 
-// solveBothPaths runs the synchronous and runtime paths and asserts
-// they agree exactly (invariant 5) before returning the result.
-func solveBothPaths(t *testing.T, label string, g *graph.Graph, opts Options) *Result {
+// solveChecked solves at Parallelism 1 and at the default parallelism
+// and asserts the two results agree exactly (invariant 5) before
+// returning one.
+func solveChecked(t *testing.T, label string, g *graph.Graph, opts Options) *Result {
 	t.Helper()
-	sync, err := Solve(g, opts)
+	opts.Parallelism = 1
+	serial, err := Solve(g, opts)
 	if err != nil {
-		t.Fatalf("%s sync: %v", label, err)
+		t.Fatalf("%s par=1: %v", label, err)
 	}
-	opts.Runtime = true
-	async, err := Solve(g, opts)
+	opts.Parallelism = 0
+	pooled, err := Solve(g, opts)
 	if err != nil {
-		t.Fatalf("%s runtime: %v", label, err)
+		t.Fatalf("%s: %v", label, err)
 	}
-	if sync.Cut.Value != async.Cut.Value {
-		t.Fatalf("%s: sync value %v != runtime value %v", label, sync.Cut.Value, async.Cut.Value)
+	if serial.Cut.Value != pooled.Cut.Value {
+		t.Fatalf("%s: par=1 value %v != pooled value %v", label, serial.Cut.Value, pooled.Cut.Value)
 	}
-	for v := range sync.Cut.Spins {
-		if sync.Cut.Spins[v] != async.Cut.Spins[v] {
-			t.Fatalf("%s: spin %d differs between paths", label, v)
+	for v := range serial.Cut.Spins {
+		if serial.Cut.Spins[v] != pooled.Cut.Spins[v] {
+			t.Fatalf("%s: spin %d depends on parallelism", label, v)
 		}
 	}
-	if sync.Levels != async.Levels || sync.SubGraphs != async.SubGraphs ||
-		sync.IntraCut != async.IntraCut || sync.CrossCut != async.CrossCut {
-		t.Fatalf("%s: metadata differs:\nsync    %+v\nruntime %+v", label, sync, async)
+	if serial.Levels != pooled.Levels || serial.SubGraphs != pooled.SubGraphs ||
+		serial.IntraCut != pooled.IntraCut || serial.CrossCut != pooled.CrossCut {
+		t.Fatalf("%s: metadata differs:\npar=1  %+v\npooled %+v", label, serial, pooled)
 	}
-	for i := range sync.SubReports {
-		if !sameSubReport(sync.SubReports[i], async.SubReports[i]) {
+	for i := range serial.SubReports {
+		if !sameSubReport(serial.SubReports[i], pooled.SubReports[i]) {
 			t.Fatalf("%s: sub-report %d differs: %+v vs %+v",
-				label, i, sync.SubReports[i], async.SubReports[i])
+				label, i, serial.SubReports[i], pooled.SubReports[i])
 		}
 	}
-	return sync
+	return serial
 }
 
 // sameSubReport compares two sub-reports modulo per-attempt wall
@@ -134,7 +137,7 @@ func TestInvariantsAcrossRandomGraphs(t *testing.T) {
 					g := fam.gen(n, rng.New(seed*31+uint64(n)))
 					opts := Options{MaxQubits: mq, Solver: cheapAnneal(),
 						MergeSolver: cheapAnneal(), Seed: seed}
-					res := solveBothPaths(t, label, g, opts)
+					res := solveChecked(t, label, g, opts)
 					checkInvariants(t, label, g, res, mq)
 				}
 			}
@@ -148,7 +151,7 @@ func TestInvariantsWithExactSolver(t *testing.T) {
 			label := fmt.Sprintf("exact/q%d/s%d", mq, seed)
 			g := graph.ErdosRenyi(26, 0.2, graph.Unweighted, rng.New(seed+100))
 			opts := Options{MaxQubits: mq, Solver: ExactSolver{}, Seed: seed}
-			res := solveBothPaths(t, label, g, opts)
+			res := solveChecked(t, label, g, opts)
 			checkInvariants(t, label, g, res, mq)
 		}
 	}
@@ -160,7 +163,7 @@ func TestInvariantsWithQAOALeaves(t *testing.T) {
 	}
 	g := graph.ErdosRenyi(20, 0.25, graph.Unweighted, rng.New(42))
 	opts := Options{MaxQubits: 7, Solver: fastQAOA(), Seed: 42}
-	res := solveBothPaths(t, "qaoa-leaves", g, opts)
+	res := solveChecked(t, "qaoa-leaves", g, opts)
 	checkInvariants(t, "qaoa-leaves", g, res, 7)
 }
 
@@ -179,7 +182,7 @@ func TestInvariantsPathologicalGraphs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		opts := Options{MaxQubits: tc.mq, Solver: cheapAnneal(), Seed: 3}
-		res := solveBothPaths(t, tc.name, tc.g, opts)
+		res := solveChecked(t, tc.name, tc.g, opts)
 		if tc.g.N() > 0 {
 			checkInvariants(t, tc.name, tc.g, res, tc.mq)
 		}
@@ -211,7 +214,7 @@ func twoCliquesBridge(k int) *graph.Graph {
 
 // isolatedPlusClique is a k-clique plus isolated nodes: the merge
 // graph is edgeless while exceeding the cap, exercising the recursion
-// guard on both paths.
+// guard.
 func isolatedPlusClique(n, k int) *graph.Graph {
 	g := graph.New(n)
 	for i := 0; i < k; i++ {

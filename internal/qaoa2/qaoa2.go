@@ -2,16 +2,11 @@ package qaoa2
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"qaoa2/internal/backend"
 	"qaoa2/internal/graph"
-	"qaoa2/internal/maxcut"
-	"qaoa2/internal/partition"
 	"qaoa2/internal/qaoa"
-	"qaoa2/internal/rng"
 	rt "qaoa2/internal/runtime"
 	"qaoa2/internal/solver"
 )
@@ -65,25 +60,18 @@ type Options struct {
 	Partition [][]int
 	// Seed derives the per-sub-graph deterministic random streams.
 	Seed uint64
-	// Runtime executes the solve through the asynchronous task-graph
-	// runtime (internal/runtime): the same divide-and-conquer unfolded
-	// into an explicit DAG of partition/sub-solve/merge/stitch tasks
-	// run by a bounded worker pool. Results are identical to the
-	// synchronous path for every Parallelism; opt in for streaming
-	// sub-reports and checkpoint/resume.
-	Runtime bool
 	// CheckpointPath persists every completed sub-graph and merge
 	// solve to this file so an interrupted run resumes without
-	// re-solving finished tasks. Implies Runtime.
+	// re-solving finished tasks.
 	CheckpointPath string
 	// OnRuntimeEvent, when set, streams task-completion events
 	// (completed sub-solves as they land, merge levels, restores).
-	// Implies Runtime. Calls are serialized.
+	// Calls are serialized.
 	OnRuntimeEvent func(rt.Event)
-	// Interrupt aborts a runtime-path solve once closed: no new task
-	// starts and Solve returns runtime.ErrInterrupted after in-flight
-	// tasks finish. Completed tasks stay in the checkpoint, so a later
-	// call resumes. Implies Runtime.
+	// Interrupt aborts the solve once closed: no new task starts and
+	// Solve returns runtime.ErrInterrupted after in-flight tasks
+	// finish. Completed tasks stay in the checkpoint, so a later call
+	// resumes.
 	Interrupt <-chan struct{}
 }
 
@@ -119,296 +107,75 @@ func (o Options) withDefaults() (Options, error) {
 		o.MergeSolver = o.Solver
 		o.MergeSpec = o.SolverSpec
 	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	return o, nil
 }
 
-// SubReport records one solved sub-graph at the first level.
-type SubReport struct {
-	Nodes int     // sub-graph size
-	Edges int     // sub-graph edge count
-	Value float64 // cut value found by the solver
-	// Solver names the solver that actually produced the kept cut:
-	// for composite strategies (best, portfolio, ml-adaptive) this is
-	// the WINNING member, so the report exposes the per-sub-graph
-	// quantum-vs-classical decision directly.
-	Solver string
-	// Attempts details every inner try of a composite solve, with
-	// per-attempt timing (nil for plain solvers, and for solves
-	// restored from a checkpoint — timing is telemetry, not identity).
-	Attempts []solver.Attempt
-}
+// SubReport records one solved first-level sub-graph: its size, the
+// cut value found, and the solver that actually produced the kept cut
+// (for composite strategies the WINNING member, with per-attempt
+// detail).
+type SubReport = rt.SubReport
 
-// Result reports a QAOA² run.
-type Result struct {
-	Cut maxcut.Cut
-	// Levels is the number of merge levels used (0 when the graph fit
-	// directly on the device).
-	Levels int
-	// SubGraphs counts the first-level sub-graphs.
-	SubGraphs int
-	// SubReports details every first-level sub-graph solve.
-	SubReports []SubReport
-	// IntraCut is the weight cut inside sub-graphs before merging;
-	// CrossCut is the weight cut across sub-graphs after the merge
-	// flips. Their sum equals Cut.Value.
-	IntraCut, CrossCut float64
-}
+// Result reports a QAOA² run: the cut, the merge levels used, the
+// first-level sub-reports, the intra/cross split of the cut value and
+// the task-graph execution stats.
+type Result = rt.Result
 
-// Solve runs the QAOA² divide-and-conquer on g.
+// Solve runs the QAOA² divide-and-conquer on g. The solve executes on
+// the task-graph runtime (internal/runtime): partition, sub-solve,
+// merge and stitch tasks on a pool of Parallelism workers.
 func Solve(g *graph.Graph, opts Options) (*Result, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	n := g.N()
-	if n == 0 {
-		return &Result{Cut: maxcut.Cut{Spins: []int8{}, Value: 0}}, nil
-	}
-
-	if opts.Runtime || opts.CheckpointPath != "" || opts.OnRuntimeEvent != nil ||
-		opts.Interrupt != nil {
-		return solveRuntime(g, opts)
-	}
-
-	// Small enough for the device: a single direct solve (unless an
-	// explicit partition was requested).
-	if n <= opts.MaxQubits && opts.Partition == nil {
-		cut, rep, err := solver.SolveAttributed(opts.Solver, g, rng.New(opts.Seed))
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Cut:       cut,
-			SubGraphs: 1,
-			SubReports: []SubReport{{
-				Nodes: n, Edges: g.M(), Value: cut.Value,
-				Solver: rep.Winner, Attempts: rep.Attempts,
-			}},
-			IntraCut: cut.Value,
-		}, nil
-	}
-
-	parts := opts.Partition
-	if parts == nil {
-		parts, err = partition.SizeCapped(g, opts.MaxQubits)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		for i, p := range parts {
-			if len(p) == 0 {
-				return nil, fmt.Errorf("qaoa2: explicit partition part %d is empty", i)
-			}
-			if len(p) > opts.MaxQubits {
-				return nil, fmt.Errorf("qaoa2: explicit partition part %d has %d nodes, budget %d",
-					i, len(p), opts.MaxQubits)
-			}
-		}
-	}
-
-	// Solve all sub-graphs in parallel (paper §3.3 step 3: "All
-	// sub-graphs are solved with QAOA in parallel over different
-	// (simulated) quantum devices").
-	type subResult struct {
-		cut     maxcut.Cut
-		mapping []int
-		report  SubReport
-		err     error
-	}
-	results := make([]subResult, len(parts))
-	sem := make(chan struct{}, opts.Parallelism)
-	var wg sync.WaitGroup
-	for i, part := range parts {
-		wg.Add(1)
-		go func(i int, part []int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			sub, mapping, err := g.InducedSubgraph(part)
-			if err != nil {
-				results[i] = subResult{err: err}
-				return
-			}
-			cut, rep, err := solver.SolveAttributed(opts.Solver, sub,
-				rng.New(opts.Seed).Split(uint64(i)+0x9e37))
-			if err != nil {
-				results[i] = subResult{err: fmt.Errorf("qaoa2: sub-graph %d: %w", i, err)}
-				return
-			}
-			results[i] = subResult{
-				cut:     cut,
-				mapping: mapping,
-				report: SubReport{
-					Nodes: sub.N(), Edges: sub.M(), Value: cut.Value,
-					Solver: rep.Winner, Attempts: rep.Attempts,
-				},
-			}
-		}(i, part)
-	}
-	wg.Wait()
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
-		}
-	}
-
-	reports := make([]SubReport, len(parts))
-	cuts := make([]maxcut.Cut, len(parts))
-	for i, res := range results {
-		reports[i] = res.report
-		cuts[i] = res.cut
-	}
-
-	cut, levels, err := MergeSubSolutions(g, parts, cuts, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	groupOf := make([]int, n)
-	for i, part := range parts {
-		for _, v := range part {
-			groupOf[v] = i
-		}
-	}
-	intra := intraCutValue(g, groupOf, cut.Spins)
-	res := &Result{
-		Cut:        cut,
-		Levels:     levels,
-		SubGraphs:  len(parts),
-		SubReports: reports,
-		IntraCut:   intra,
-		CrossCut:   cut.Value - intra,
-	}
-	return res, nil
-}
-
-// MergeSubSolutions performs the QAOA² merging procedure (paper §3.3
-// steps 4-5) given already-solved sub-graphs: it stitches the
-// sub-solutions into a global assignment, builds the signed contracted
-// graph (+w for currently-uncut cross edges, −w for cut ones), solves it
-// with opts.MergeSolver (recursing through Solve when it exceeds the
-// qubit budget), and flips every sub-graph whose merge-node is −1.
-// parts[i] lists the original node ids of sub-graph i; cuts[i] is the
-// sub-solution over the SAME node order. Exposed so distributed drivers
-// (internal/hpc's coordinator workflow) can reuse the merge step.
-func MergeSubSolutions(g *graph.Graph, parts [][]int, cuts []maxcut.Cut, opts Options) (maxcut.Cut, int, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return maxcut.Cut{}, 0, err
-	}
-	n := g.N()
-	if len(parts) != len(cuts) {
-		return maxcut.Cut{}, 0, fmt.Errorf("qaoa2: %d parts but %d cuts", len(parts), len(cuts))
-	}
-	spins := make([]int8, n)
-	groupOf := make([]int, n)
-	for i := range groupOf {
-		groupOf[i] = -1
-	}
-	for i, part := range parts {
-		if len(cuts[i].Spins) != len(part) {
-			return maxcut.Cut{}, 0, fmt.Errorf("qaoa2: part %d has %d nodes but cut has %d spins",
-				i, len(part), len(cuts[i].Spins))
-		}
-		for k, orig := range part {
-			if orig < 0 || orig >= n {
-				return maxcut.Cut{}, 0, fmt.Errorf("qaoa2: part %d references node %d outside graph", i, orig)
-			}
-			if groupOf[orig] != -1 {
-				return maxcut.Cut{}, 0, fmt.Errorf("qaoa2: node %d appears in two parts", orig)
-			}
-			spins[orig] = cuts[i].Spins[k]
-			groupOf[orig] = i
-		}
-	}
-	for v, grp := range groupOf {
-		if grp == -1 {
-			return maxcut.Cut{}, 0, fmt.Errorf("qaoa2: node %d not covered by any part", v)
-		}
-	}
-
-	merged, err := g.Contract(groupOf, len(parts), func(e graph.Edge) float64 {
-		if spins[e.I] != spins[e.J] {
-			return -e.W
-		}
-		return e.W
+	return rt.Solve(g, rt.Options{
+		MaxQubits:      opts.MaxQubits,
+		Solver:         opts.Solver,
+		MergeSolver:    opts.MergeSolver,
+		Parallelism:    opts.Parallelism,
+		Partition:      opts.Partition,
+		Seed:           opts.Seed,
+		CheckpointPath: opts.CheckpointPath,
+		ConfigTag:      configTag(opts),
+		OnEvent:        opts.OnRuntimeEvent,
+		Interrupt:      opts.Interrupt,
 	})
-	if err != nil {
-		return maxcut.Cut{}, 0, err
-	}
-
-	var flips []int8
-	var levels int
-	switch {
-	case merged.M() == 0:
-		// No cross weight to gain: keep every part's orientation. This
-		// is also the recursion guard — an edgeless merge graph never
-		// contracts further. (Mirrored by the task-graph runtime.)
-		flips = make([]int8, merged.N())
-		for i := range flips {
-			flips[i] = 1
-		}
-		levels = 1
-	case merged.N() > opts.MaxQubits && merged.N() >= n:
-		// Contraction made no progress (all-singleton partition):
-		// recursing would loop forever. Orient the merge nodes with the
-		// deterministic 1-exchange local search instead. (Mirrored by
-		// the task-graph runtime.)
-		cut := maxcut.OneExchange(merged, rng.New(opts.Seed).Split(0x1e4c))
-		flips = cut.Spins
-		levels = 1
-	default:
-		flips, levels, err = solveMerge(merged, opts, 1)
-		if err != nil {
-			return maxcut.Cut{}, 0, err
-		}
-	}
-	for v := 0; v < n; v++ {
-		if flips[groupOf[v]] < 0 {
-			spins[v] = -spins[v]
-		}
-	}
-	return maxcut.Cut{Spins: spins, Value: g.CutValue(spins)}, levels, nil
 }
 
-// solveMerge returns the ±1 orientation of each merge-graph node.
-func solveMerge(merged *graph.Graph, opts Options, level int) ([]int8, int, error) {
-	if merged.N() <= opts.MaxQubits {
-		cut, err := opts.MergeSolver.SolveSub(merged, rng.New(opts.Seed).Split(uint64(level)*0x51ed))
-		if err != nil {
-			return nil, 0, fmt.Errorf("qaoa2: merge level %d: %w", level, err)
-		}
-		return cut.Spins, level, nil
+// configTag fingerprints solver configuration that Solver.Name() does
+// not reflect, so two configurations sharing a name never share a
+// checkpoint. Registry-built solvers (Options.SolverSpec) fingerprint
+// by their canonical spec JSON — stable across processes, so the
+// serve daemon's resume re-binds to the identical solver. Explicitly
+// constructed solvers fall back to their full printed state; anything
+// %#v renders unstably (e.g. function-valued fields print as
+// addresses) errs toward NOT resuming, never toward resuming wrongly.
+func configTag(opts Options) string {
+	backendName := "default"
+	if opts.Backend != nil {
+		backendName = opts.Backend.Name()
 	}
-	// Still too large: apply the whole divide-and-conquer to the merge
-	// graph with the merge solver on both roles.
-	sub, err := Solve(merged, Options{
-		MaxQubits:   opts.MaxQubits,
-		Solver:      opts.MergeSolver,
-		MergeSolver: opts.MergeSolver,
-		Backend:     opts.Backend,
-		Restarts:    opts.Restarts,
-		Parallelism: opts.Parallelism,
-		Seed:        opts.Seed ^ (uint64(level) * 0xabcd),
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return sub.Cut.Spins, level + sub.Levels, nil
+	return fmt.Sprintf("backend:%s|restarts:%d|solver:%s|merge:%s",
+		backendName, opts.Restarts,
+		solverTag(opts.SolverSpec, opts.Solver),
+		solverTag(opts.MergeSpec, opts.MergeSolver))
 }
 
-// intraCutValue sums cut weight of edges inside sub-graphs.
-func intraCutValue(g *graph.Graph, groupOf []int, spins []int8) float64 {
-	v := 0.0
-	for _, e := range g.Edges() {
-		if groupOf[e.I] == groupOf[e.J] && spins[e.I] != spins[e.J] {
-			v += e.W
-		}
+// solverTag fingerprints one solver role: canonical spec when the
+// solver came from the registry, the solver's own ConfigTag when it
+// provides one (solvers holding process-local state — connections,
+// breakers — implement it to expose only their result-determining
+// configuration, so their checkpoints stay resumable across
+// processes), printed state otherwise.
+func solverTag(spec solver.Spec, s SubSolver) string {
+	if spec.Name != "" {
+		return "spec:" + spec.Canonical()
 	}
-	return v
+	if ct, ok := s.(interface{ ConfigTag() string }); ok {
+		return "tag:" + ct.ConfigTag()
+	}
+	return fmt.Sprintf("%#v", s)
 }
 
 // SummarizeSubReports aggregates first-level sub-reports per solver for

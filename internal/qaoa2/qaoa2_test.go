@@ -256,7 +256,7 @@ func TestExplicitPartitionOverride(t *testing.T) {
 	if _, err := Solve(g, Options{MaxQubits: 4, Solver: ExactSolver{}, Partition: [][]int{{}}}); err == nil {
 		t.Fatal("empty explicit part accepted")
 	}
-	// Incomplete cover rejected (MergeSubSolutions validates).
+	// Incomplete cover rejected (the partition task validates).
 	if _, err := Solve(g, Options{MaxQubits: 4, Solver: ExactSolver{}, Partition: parts[:2]}); err == nil {
 		t.Fatal("partial partition accepted")
 	}

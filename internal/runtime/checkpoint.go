@@ -7,6 +7,8 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"slices"
+	"sort"
 	"sync"
 
 	"qaoa2/internal/graph"
@@ -68,12 +70,19 @@ type Record struct {
 // results: a header line followed by one JSON line per task. Appends
 // are flushed and fsynced per record, so a run killed at any instant
 // loses at most the line being written — and a torn trailing line is
-// skipped on load. Safe for concurrent use by the runtime's workers.
+// skipped on load. Close rewrites the lines in canonical key order, so
+// a closed checkpoint's bytes depend only on the set of completed
+// tasks, never on the order they completed in. Safe for concurrent use
+// by the runtime's workers.
 type Checkpoint struct {
 	mu      sync.Mutex
+	path    string
+	header  []byte // the header line, newline included
 	f       *os.File
 	w       *bufio.Writer
 	entries map[string]Record
+	// order lists the entry keys in file order.
+	order []string
 	// restored counts entries loaded from disk at open time.
 	restored int
 }
@@ -105,7 +114,11 @@ func GraphFingerprint(g *graph.Graph) string {
 // header.
 func OpenCheckpoint(path string, h Header) (*Checkpoint, error) {
 	h.Version = checkpointVersion
-	c := &Checkpoint{entries: make(map[string]Record)}
+	hdr, err := json.Marshal(h)
+	if err != nil {
+		return nil, err
+	}
+	c := &Checkpoint{path: path, header: append(hdr, '\n'), entries: make(map[string]Record)}
 	if data, err := os.ReadFile(path); err == nil {
 		// A record is only durable once its newline hit the disk: drop
 		// a torn trailing line (kill mid-append) BEFORE loading, so
@@ -135,6 +148,7 @@ func OpenCheckpoint(path string, h Header) (*Checkpoint, error) {
 		}
 		// Header mismatch or corrupt header: start over.
 		c.entries = make(map[string]Record)
+		c.order = nil
 		c.restored = 0
 	}
 	f, err := os.Create(path)
@@ -143,12 +157,7 @@ func OpenCheckpoint(path string, h Header) (*Checkpoint, error) {
 	}
 	c.f = f
 	c.w = bufio.NewWriter(f)
-	hdr, err := json.Marshal(h)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := c.w.Write(append(hdr, '\n')); err != nil {
+	if _, err := c.w.Write(c.header); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -202,6 +211,7 @@ func (c *Checkpoint) load(data []byte, want Header) bool {
 			Cut:    maxcut.Cut{Spins: spins, Value: e.Value},
 			Solver: e.Solver,
 		}
+		c.order = append(c.order, e.Key)
 	}
 	c.restored = len(c.entries)
 	return true
@@ -237,23 +247,30 @@ func (c *Checkpoint) Record(key string, r Record) error {
 	if _, dup := c.entries[key]; dup {
 		return nil
 	}
-	line, err := json.Marshal(entry{
-		Key:    key,
-		Spins:  EncodeSpins(r.Cut.Spins),
-		Value:  r.Cut.Value,
-		Solver: r.Solver,
-	})
+	line, err := encodeEntry(key, r)
 	if err != nil {
 		return err
 	}
-	if _, err := c.w.Write(append(line, '\n')); err != nil {
+	if _, err := c.w.Write(line); err != nil {
 		return fmt.Errorf("runtime: checkpoint write: %w", err)
 	}
 	if err := c.flush(); err != nil {
 		return err
 	}
 	c.entries[key] = r
+	c.order = append(c.order, key)
 	return nil
+}
+
+// encodeEntry renders one record as its JSON line.
+func encodeEntry(key string, r Record) ([]byte, error) {
+	line, err := json.Marshal(entry{
+		Key:    key,
+		Spins:  EncodeSpins(r.Cut.Spins),
+		Value:  r.Cut.Value,
+		Solver: r.Solver,
+	})
+	return append(line, '\n'), err
 }
 
 // flush drains the buffer and fsyncs. Caller holds mu.
@@ -267,7 +284,8 @@ func (c *Checkpoint) flush() error {
 	return nil
 }
 
-// Close flushes and closes the underlying file.
+// Close flushes and closes the underlying file, then puts its entry
+// lines in canonical (sorted) key order.
 func (c *Checkpoint) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -279,7 +297,54 @@ func (c *Checkpoint) Close() error {
 		err = cerr
 	}
 	c.f = nil
-	return err
+	if err != nil {
+		return err
+	}
+	return c.canonicalize()
+}
+
+// canonicalize rewrites the file in sorted key order through a temp
+// file, fsync and rename. A crash before the rename leaves the
+// completion-ordered file, which loads to the same entries. Caller
+// holds mu.
+func (c *Checkpoint) canonicalize() error {
+	keys := make([]string, 0, len(c.entries))
+	for k := range c.entries {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if slices.Equal(keys, c.order) {
+		return nil
+	}
+	data := append([]byte(nil), c.header...)
+	for _, k := range keys {
+		line, err := encodeEntry(k, c.entries[k])
+		if err != nil {
+			return err
+		}
+		data = append(data, line...)
+	}
+	tmp := c.path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("runtime: checkpoint rewrite: %w", err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, c.path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("runtime: checkpoint rewrite: %w", err)
+	}
+	c.order = keys
+	return nil
 }
 
 // EncodeSpins renders a cut assignment in the +/- wire encoding used

@@ -1,12 +1,19 @@
 package runtime
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	goruntime "runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"qaoa2/internal/graph"
 	"qaoa2/internal/maxcut"
+	"qaoa2/internal/rng"
 )
 
 func testHeader() Header {
@@ -275,6 +282,57 @@ func TestHeaderFingerprint(t *testing.T) {
 	for i, h := range variants {
 		if h.Fingerprint() == fp {
 			t.Fatalf("variant %d shares the base fingerprint", i)
+		}
+	}
+}
+
+// jitterSolver delays each solve by an amount that depends on the
+// sub-graph, so concurrent workers complete tasks out of order.
+type jitterSolver struct{}
+
+func (jitterSolver) Name() string { return "jitter-exact" }
+func (jitterSolver) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
+	time.Sleep(time.Duration((g.M()*7)%5) * time.Millisecond)
+	return maxcut.BruteForce(g)
+}
+
+// TestCheckpointBytesIndependentOfCoreCount: the same solve at
+// GOMAXPROCS 1, 2 and 8 (and a worker pool that large) completes its
+// tasks in different orders, yet must leave byte-identical checkpoints,
+// and resuming from them must stream the restores in the same order.
+func TestCheckpointBytesIndependentOfCoreCount(t *testing.T) {
+	g := graph.ErdosRenyi(60, 0.1, graph.Unweighted, rng.New(12))
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
+	var want []byte
+	var wantResume []string
+	for _, procs := range []int{1, 2, 8} {
+		goruntime.GOMAXPROCS(procs)
+		opts := Options{MaxQubits: 6, Solver: jitterSolver{}, MergeSolver: jitterSolver{},
+			Seed: 4, CheckpointPath: filepath.Join(t.TempDir(), "c.ckpt")}
+		if _, err := Solve(g, opts); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(opts.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(opts.CheckpointPath + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("rewrite left its temp file behind (stat err %v)", err)
+		}
+		var resume []string
+		opts.OnEvent = func(ev Event) { resume = append(resume, fmt.Sprintf("%s/%v", ev.Task, ev.Restored)) }
+		if _, err := Solve(g, opts); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want, wantResume = got, resume
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("GOMAXPROCS=%d checkpoint differs:\n%s\nvs GOMAXPROCS=1:\n%s", procs, got, want)
+		}
+		if !reflect.DeepEqual(resume, wantResume) {
+			t.Fatalf("GOMAXPROCS=%d resume events %v, GOMAXPROCS=1 %v", procs, resume, wantResume)
 		}
 	}
 }

@@ -1,6 +1,8 @@
-// Package runtime executes QAOA² as an explicit asynchronous task
-// graph — the real counterpart of the virtual-time schedule simulated
-// by internal/hpc (paper Fig. 2). A solve unfolds into a DAG of
+// Package runtime is the QAOA² executor: every solve — qaoa2.Solve,
+// the solve service's jobs and the Fig. 2 coordinator workflow
+// (hpc.CoordinatedSolve) — runs as an explicit asynchronous task
+// graph, the real counterpart of the virtual-time schedule simulated
+// by internal/hpc's scheduler. A solve unfolds into a DAG of
 // partition, sub-solve, merge-build, merge-solve and stitch tasks; a
 // fixed worker pool (Options.Parallelism, the pool of quantum devices
 // and classical nodes) runs ready tasks as dependencies drain, streams
@@ -10,9 +12,8 @@
 //
 // The computation tree is a function of (graph, seed, solver config)
 // only — per-task randomness derives from the task's position, never
-// from scheduling — so the runtime returns bit-identical results to
-// the synchronous qaoa2.Solve recursion at every parallelism, and
-// checkpoint entries are transferable between processes.
+// from scheduling — so results are bit-identical at every parallelism,
+// and checkpoint entries are transferable between processes.
 package runtime
 
 import (
@@ -29,14 +30,9 @@ import (
 	"qaoa2/internal/solver"
 )
 
-// SubSolver produces a cut for one sub-graph. It is structurally
-// identical to qaoa2.SubSolver, so every solver of that package
-// satisfies it without adaptation (the import must point this way
-// round: qaoa2 depends on runtime).
-type SubSolver interface {
-	Name() string
-	SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error)
-}
+// SubSolver produces a cut for one sub-graph: the solver plane's
+// interface, so every registry solver plugs in directly.
+type SubSolver = solver.Solver
 
 // Options configures Solve. Solver and MergeSolver are required — the
 // qaoa2 facade fills its defaults before delegating here.
@@ -67,7 +63,9 @@ type Options struct {
 	// the checkpoint header so stale checkpoints never resume.
 	ConfigTag string
 	// OnEvent, when set, receives one event per completed task, in
-	// completion order. Calls are serialized.
+	// completion order; sub-solves restored from the checkpoint follow
+	// their stage's partition event in index order. Calls are
+	// serialized.
 	OnEvent func(Event)
 	// Interrupt aborts the run when closed: no new task starts, and
 	// Solve returns ErrInterrupted once in-flight tasks finish. The
@@ -120,27 +118,41 @@ type Stats struct {
 	Stages int
 }
 
-// SubReport records one solved first-level sub-graph (mirrors
-// qaoa2.SubReport, field for field — qaoa2 converts by struct
-// conversion).
+// SubReport records one solved first-level sub-graph.
 type SubReport struct {
-	Nodes    int
-	Edges    int
-	Value    float64
-	Solver   string
+	Nodes int     // sub-graph size
+	Edges int     // sub-graph edge count
+	Value float64 // cut value found by the solver
+	// Solver names the solver that actually produced the kept cut:
+	// for composite strategies (best, portfolio, ml-adaptive) this is
+	// the WINNING member, so the report exposes the per-sub-graph
+	// quantum-vs-classical decision directly.
+	Solver string
+	// Attempts details every inner try of a composite solve, with
+	// per-attempt timing (nil for plain solvers, and for solves
+	// restored from a checkpoint — timing is telemetry, not identity).
 	Attempts []solver.Attempt
 }
 
-// Result reports a runtime QAOA² run. Cut, Levels, SubGraphs,
-// SubReports, IntraCut and CrossCut carry exactly the values the
-// synchronous qaoa2.Solve returns for the same inputs.
+// Result reports a QAOA² run. Everything except Stats (and the
+// Attempts timing inside SubReports) is a pure function of the graph,
+// the seed and the solver configuration.
 type Result struct {
-	Cut                maxcut.Cut
-	Levels             int
-	SubGraphs          int
-	SubReports         []SubReport
+	Cut maxcut.Cut
+	// Levels is the number of merge levels used (0 when the graph fit
+	// directly on the device).
+	Levels int
+	// SubGraphs counts the first-level sub-graphs.
+	SubGraphs int
+	// SubReports details every first-level sub-graph solve.
+	SubReports []SubReport
+	// IntraCut is the weight cut inside first-level sub-graphs;
+	// CrossCut is the weight cut across them after the merge flips.
+	// Their sum equals Cut.Value.
 	IntraCut, CrossCut float64
-	Stats              Stats
+	// Stats counts the executed tasks; restored solves make it differ
+	// between a fresh and a resumed run of the same solve.
+	Stats Stats
 }
 
 // stage is one divide level: stage 0 is the original graph, stage k+1
@@ -234,8 +246,8 @@ func Solve(g *graph.Graph, opts Options) (*Result, error) {
 	return st.result, nil
 }
 
-// validatePartition mirrors the synchronous path's explicit-partition
-// checks.
+// validatePartition rejects empty and oversized explicit parts; the
+// partition task checks the cover.
 func validatePartition(parts [][]int, maxQubits int) error {
 	for i, p := range parts {
 		if len(p) == 0 {
@@ -394,14 +406,32 @@ func (st *solveState) runPartition(sg *stage, explicit [][]int) error {
 	}
 	sg.groupOf = groupOf
 
-	subTasks := make([]*task, len(parts))
+	st.mu.Lock()
+	st.stats.Tasks++
+	st.mu.Unlock()
+	st.emit(Event{Task: fmt.Sprintf("s%d/partition", sg.index), Kind: kindPartition.String(),
+		Stage: sg.index, Index: -1, Nodes: sg.g.N(), Edges: sg.g.M()})
+
+	// Sub-graphs the checkpoint already holds are restored right here,
+	// in index order, so a resumed run streams its restores in the same
+	// order on any core count; the rest become parallel tasks.
+	var subTasks []*task
 	for i := range parts {
+		key := fmt.Sprintf("s%d/sub%d", sg.index, i)
+		if st.ckpt != nil {
+			if _, ok := st.ckpt.Lookup(key); ok {
+				if err := st.runSub(sg, i); err != nil {
+					return err
+				}
+				continue
+			}
+		}
 		i := i
-		subTasks[i] = &task{
-			id:   fmt.Sprintf("s%d/sub%d", sg.index, i),
+		subTasks = append(subTasks, &task{
+			id:   key,
 			kind: kindSubSolve,
 			run:  func() error { return st.runSub(sg, i) },
-		}
+		})
 	}
 	mergeT := &task{
 		id:   fmt.Sprintf("s%d/merge-build", sg.index),
@@ -414,11 +444,6 @@ func (st *solveState) runPartition(sg *stage, explicit [][]int) error {
 	for _, t := range subTasks {
 		st.exec.add(t)
 	}
-	st.mu.Lock()
-	st.stats.Tasks++
-	st.mu.Unlock()
-	st.emit(Event{Task: fmt.Sprintf("s%d/partition", sg.index), Kind: kindPartition.String(),
-		Stage: sg.index, Index: -1, Nodes: sg.g.N(), Edges: sg.g.M()})
 	return nil
 }
 

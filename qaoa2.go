@@ -390,12 +390,12 @@ func SolveRQAOA(g *Graph, opts RQAOAOptions, r *Rand) (*RQAOAResult, error) {
 	return rqaoa.Solve(g, opts, r)
 }
 
-// Task-graph runtime (the asynchronous execution engine behind
-// Options.Runtime / Options.CheckpointPath; see DESIGN.md). The
-// runtime unfolds a QAOA² solve into an explicit DAG of partition,
+// Task-graph runtime (the executor behind every Solve; see DESIGN.md).
+// The runtime unfolds a QAOA² solve into an explicit DAG of partition,
 // sub-solve, merge and stitch tasks run by a bounded worker pool,
-// streams completed sub-reports, and checkpoints completed solves so
-// interrupted runs resume.
+// streams completed sub-reports (Options.OnRuntimeEvent), and
+// checkpoints completed solves (Options.CheckpointPath) so interrupted
+// runs resume.
 type (
 	// RuntimeEvent is one completed runtime task (streamed through
 	// Options.OnRuntimeEvent).
@@ -585,7 +585,8 @@ type (
 )
 
 // CoordinatedSolve runs QAOA² as a coordinator/worker message-passing
-// workflow (the paper's Fig. 2 scheme).
+// workflow (the paper's Fig. 2 scheme) on the task-graph runtime: its
+// cut equals Solve's for the same solvers and seed.
 func CoordinatedSolve(g *Graph, opts CoordinatedOptions) (*CoordinatedResult, error) {
 	return hpc.CoordinatedSolve(g, opts)
 }
