@@ -201,8 +201,8 @@ func BenchmarkFig2Coordinator(b *testing.B) {
 
 // BenchmarkScalingStatevector regenerates the distributed-simulation
 // observation of §4 ("33 qubits ... 512 nodes", "almost ideal
-// scaling"): cache-blocking rank exchange volume and wall time per rank
-// count.
+// scaling"): the sharded fused engine's slice-exchange volume and
+// per-evaluation wall time per rank count.
 func BenchmarkScalingStatevector(b *testing.B) {
 	qubits := 16
 	ranks := []int{1, 2, 4, 8}
@@ -213,13 +213,13 @@ func BenchmarkScalingStatevector(b *testing.B) {
 	var points []experiments.ScalingPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.RunScaling(qubits, 2, ranks, 7)
+		points, err = experiments.RunEngineScaling(qubits, 2, ranks, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	printOnce("Scaling", experiments.RenderScaling(points))
+	printOnce("Scaling", experiments.RenderEngineScaling(points))
 }
 
 // BenchmarkGWScaling regenerates the §3.4 complexity observation: GW

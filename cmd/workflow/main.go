@@ -1,7 +1,7 @@
 // Command workflow demonstrates the paper's HPC-side results: the
 // Fig. 1 heterogeneous-job idle-time reduction, the Fig. 2
-// coordinator/worker distribution scheme, the cache-blocking
-// distributed-statevector scaling measurement — and, beyond the
+// coordinator/worker distribution scheme, the sharded
+// fused-statevector strong-scaling measurement — and, beyond the
 // virtual-time simulator, a REAL solve through the asynchronous
 // task-graph runtime with checkpoint/resume, either in-process or
 // submitted to a running qaoa2d daemon.
@@ -120,12 +120,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprint(stdout, experiments.RenderFig2(points))
 	fmt.Fprintln(stdout)
 
-	scaling, err := experiments.RunScaling(*qubits, 2, rankList, 7)
+	scaling, err := experiments.RunEngineScaling(*qubits, 2, rankList, 7)
 	if err != nil {
 		fmt.Fprintf(stderr, "workflow: %v\n", err)
 		return 1
 	}
-	fmt.Fprint(stdout, experiments.RenderScaling(scaling))
+	fmt.Fprint(stdout, experiments.RenderEngineScaling(scaling))
 
 	if *solveNodes > 0 {
 		fmt.Fprintln(stdout)

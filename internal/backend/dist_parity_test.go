@@ -60,6 +60,37 @@ func TestFusedDistMatchesDense(t *testing.T) {
 						t.Fatalf("n=%d seed=%d p=%d ranks=%d: decoded cuts %v vs %v", n, seed, p, ranks, cD, cF)
 					}
 				}
+				// Single node is ranks=1: fused-dist:1 and fused run the same
+				// inline sweep, so energies and amplitudes agree bit for bit,
+				// with the Z2 reduction and without it.
+				eval := func(b backend.Backend) (float64, *qsim.State) {
+					t.Helper()
+					ans, err := b.Prepare(g, backend.Config{Layers: p})
+					if err != nil {
+						t.Fatal(err)
+					}
+					e, s, err := ans.Evaluate(gammas, betas)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return e, s
+				}
+				for _, full := range []bool{false, true} {
+					eS, sS := eval(backend.Fused{Full: full})
+					e1, s1 := eval(backend.FusedDist{Ranks: 1, Full: full})
+					if eS != e1 {
+						t.Fatalf("n=%d seed=%d p=%d full=%v: fused-dist:1 energy %v, fused %v", n, seed, p, full, e1, eS)
+					}
+					if s1.Len() != sS.Len() || s1.Z2Full() != sS.Z2Full() {
+						t.Fatalf("n=%d seed=%d p=%d full=%v: state shapes differ", n, seed, p, full)
+					}
+					for i := 0; i < sS.Len(); i++ {
+						if s1.Amp(uint64(i)) != sS.Amp(uint64(i)) {
+							t.Fatalf("n=%d seed=%d p=%d full=%v: amp %d is %v on fused-dist:1, %v on fused",
+								n, seed, p, full, i, s1.Amp(uint64(i)), sS.Amp(uint64(i)))
+						}
+					}
+				}
 			}
 		}
 	}

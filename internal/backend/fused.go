@@ -58,42 +58,47 @@ func (f Fused) Name() string {
 	return "fused"
 }
 
-// Prepare implements Backend: computes the cost diagonal once, plus —
-// when the graph has few distinct cut values — an indexed form that
-// replaces per-amplitude trigonometry with a per-level lookup, and
-// builds the persistent fused execution engine.
+// Prepare implements Backend: compiles the cut-value tables and builds
+// the persistent single-node fused execution engine. The −W/2 phase
+// shift reproduces the RZZ-product gate walk's global phase.
 func (f Fused) Prepare(g *graph.Graph, cfg Config) (Ansatz, error) {
 	if err := checkGraph(g, cfg); err != nil {
 		return nil, err
 	}
-	diag := CutTable(g, nil)
-	half := g.TotalWeight() / 2
-	a := &fusedAnsatz{n: g.N(), layers: cfg.Layers, diag: diag}
-	// The Z2-reduced engine needs a pair to fold, i.e. at least two
-	// qubits; cut tables satisfy cut(x) = cut(~x), so the reduced phase
-	// tables are the prefix halves.
-	a.z2 = !f.Full && g.N() >= 2 && os.Getenv("QAOA2_NOZ2") == ""
+	a := &fusedAnsatz{fusedCore: newFusedCore(g.N(), cfg.Layers, CutTable(g, nil), g.TotalWeight()/2, !f.Full)}
+	var err error
+	if a.eng, err = a.newEngine(1); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// newFusedCore compiles the tables every fused ansatz shares: diag is
+// the expectation table, diag − center the phase diagonal, factored —
+// when it has few distinct values — into an indexed form that replaces
+// per-amplitude trigonometry with a per-level lookup. The phase tables
+// are the reduced prefix halves when symmetric (diag(x) = diag(~x))
+// holds and the Z2 engine applies: it needs a pair to fold, i.e. at
+// least two qubits, and QAOA2_NOZ2 disables it.
+func newFusedCore(n, layers int, diag []float64, center float64, symmetric bool) fusedCore {
+	c := fusedCore{n: n, layers: layers, diag: diag}
+	c.z2 = symmetric && n >= 2 && os.Getenv("QAOA2_NOZ2") == ""
 	phaseLen := len(diag)
-	if a.z2 {
+	if c.z2 {
 		phaseLen /= 2
 	}
 	shift := make([]float64, phaseLen)
 	for i := range shift {
-		shift[i] = diag[i] - half
+		shift[i] = diag[i] - center
 	}
-	a.levels, a.idx = indexLevels(shift, maxPhaseLevels)
-	if a.levels != nil {
+	c.levels, c.idx = indexLevels(shift, maxPhaseLevels)
+	if c.levels != nil {
 		// The indexed path never reads the dense shift table; drop it
 		// rather than pin 2^n float64 per prepared ansatz.
 		shift = nil
 	}
-	a.shift = shift
-	eng, err := a.newEngine()
-	if err != nil {
-		return nil, err
-	}
-	a.eng = eng
-	return a, nil
+	c.shift = shift
+	return c
 }
 
 // indexLevels factors diag into (levels, idx) with diag[i] =
@@ -124,39 +129,54 @@ func indexLevels(diag []float64, maxLevels int) ([]float64, []int32) {
 	return levels, idx
 }
 
-type fusedAnsatz struct {
+// fusedCore is the compiled cost diagonal and engine both fused
+// backends share.
+type fusedCore struct {
 	n, layers int
 	z2        bool      // engines run on the Z2-reduced half-vector
 	diag      []float64 // FULL cut-value table, the ⟨H_C⟩ diagonal
-	shift     []float64 // diag − W/2 (nil on the indexed path; half-length when z2)
+	shift     []float64 // diag − center (nil on the indexed path; half-length when z2)
 	levels    []float64 // distinct shift values (nil → Sincos fallback)
 	idx       []int32   // shift[i] = levels[idx[i]] (half-length when z2)
 	eng       *qsim.Engine
-	// batch holds one serial-mode engine per batch worker, sharing the
-	// read-only tables above; grown lazily by EvaluateBatch.
-	batch []*qsim.Engine
 }
 
-// newEngine builds an execution engine over the ansatz's shared tables.
+// newEngine builds an execution engine over the shared tables.
 // Diagonal() must keep returning the full 2^n table (sampled-energy
 // decoding indexes it with full basis states), so the reduced engine
 // takes the prefix half as a sub-slice.
-func (a *fusedAnsatz) newEngine() (*qsim.Engine, error) {
-	if a.z2 {
-		return qsim.NewZ2Engine(a.n, a.diag[:len(a.diag)/2], a.levels, a.idx, a.shift)
+func (c *fusedCore) newEngine(ranks int) (*qsim.Engine, error) {
+	if c.z2 {
+		return qsim.NewZ2Engine(c.n, ranks, c.diag[:len(c.diag)/2], c.levels, c.idx, c.shift)
 	}
-	return qsim.NewEngine(a.n, a.diag, a.levels, a.idx, a.shift)
+	return qsim.NewEngine(c.n, ranks, c.diag, c.levels, c.idx, c.shift)
 }
 
 // Evaluate implements Ansatz. The returned state is the engine's reused
 // buffer, valid until the next Evaluate; on the default Z2 path it is a
 // reduced state (qsim.State with Z2Full() != 0), whose measurement
 // accessors are bit-identical to the expanded statevector's.
-func (a *fusedAnsatz) Evaluate(gammas, betas []float64) (float64, *qsim.State, error) {
-	if err := checkParams(a.layers, gammas, betas); err != nil {
+func (c *fusedCore) Evaluate(gammas, betas []float64) (float64, *qsim.State, error) {
+	if err := checkParams(c.layers, gammas, betas); err != nil {
 		return 0, nil, err
 	}
-	return a.eng.Evaluate(gammas, betas), a.eng.State(), nil
+	return c.eng.Evaluate(gammas, betas), c.eng.State(), nil
+}
+
+// Diagonal implements Ansatz.
+func (c *fusedCore) Diagonal() []float64 { return c.diag }
+
+// Layout implements Ansatz: always identity.
+func (c *fusedCore) Layout() []int { return nil }
+
+// Report implements Ansatz: no circuit is synthesized.
+func (c *fusedCore) Report() synth.Report { return synth.Report{} }
+
+type fusedAnsatz struct {
+	fusedCore
+	// batch holds one serial-mode engine per batch worker, sharing the
+	// read-only tables above; grown lazily by EvaluateBatch.
+	batch []*qsim.Engine
 }
 
 // EvaluateBatch implements BatchEvaluator: the K parameter vectors are
@@ -179,7 +199,7 @@ func (a *fusedAnsatz) EvaluateBatch(gammas, betas [][]float64, energies []float6
 		workers = k
 	}
 	for len(a.batch) < workers {
-		eng, err := a.newEngine()
+		eng, err := a.newEngine(1)
 		if err != nil {
 			return err
 		}
@@ -205,12 +225,3 @@ func (a *fusedAnsatz) EvaluateBatch(gammas, betas [][]float64, energies []float6
 	wg.Wait()
 	return nil
 }
-
-// Diagonal implements Ansatz.
-func (a *fusedAnsatz) Diagonal() []float64 { return a.diag }
-
-// Layout implements Ansatz: always identity.
-func (a *fusedAnsatz) Layout() []int { return nil }
-
-// Report implements Ansatz: no circuit is synthesized.
-func (a *fusedAnsatz) Report() synth.Report { return synth.Report{} }

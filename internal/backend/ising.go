@@ -2,7 +2,6 @@ package backend
 
 import (
 	"fmt"
-	"os"
 
 	"qaoa2/internal/ising"
 	"qaoa2/internal/qsim"
@@ -79,27 +78,12 @@ func (f Fused) PrepareIsing(h *ising.Hamiltonian, cfg Config) (Ansatz, error) {
 	for i, e := range energy {
 		diag[i] = -e
 	}
-	a := &fusedAnsatz{n: h.N(), layers: cfg.Layers, diag: diag}
-	a.z2 = !f.Full && h.N() >= 2 && h.Z2Symmetric() && os.Getenv("QAOA2_NOZ2") == ""
-	phaseLen := len(diag)
-	if a.z2 {
-		phaseLen /= 2
-	}
-	offset := h.Offset()
-	shift := make([]float64, phaseLen)
-	for i := range shift {
-		shift[i] = offset - energy[i]
-	}
-	a.levels, a.idx = indexLevels(shift, maxPhaseLevels)
-	if a.levels != nil {
-		shift = nil
-	}
-	a.shift = shift
-	eng, err := a.newEngine()
-	if err != nil {
+	// shift = offset − E = D − (−offset), bit for bit.
+	a := &fusedAnsatz{fusedCore: newFusedCore(h.N(), cfg.Layers, diag, -h.Offset(), !f.Full && h.Z2Symmetric())}
+	var err error
+	if a.eng, err = a.newEngine(1); err != nil {
 		return nil, err
 	}
-	a.eng = eng
 	return a, nil
 }
 

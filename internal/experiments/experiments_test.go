@@ -200,27 +200,6 @@ func TestRunFig2Workflow(t *testing.T) {
 	}
 }
 
-func TestRunScalingTrafficModel(t *testing.T) {
-	points, err := RunScaling(10, 1, []int{1, 2, 4}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("points %d", len(points))
-	}
-	// Single rank never communicates; more ranks only add traffic.
-	if points[0].Messages != 0 {
-		t.Fatalf("1 rank sent %d messages", points[0].Messages)
-	}
-	if points[2].Messages <= points[1].Messages {
-		t.Fatalf("messages not growing with ranks: %+v", points)
-	}
-	out := RenderScaling(points)
-	if !strings.Contains(out, "ranks") {
-		t.Fatalf("scaling render:\n%s", out)
-	}
-}
-
 func TestRunEngineScalingTrafficModel(t *testing.T) {
 	points, err := RunEngineScaling(10, 2, []int{1, 2, 4}, 7)
 	if err != nil {

@@ -3,8 +3,10 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"qaoa2/internal/graph"
@@ -130,5 +132,37 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fillReader yields an endless run of one byte, so an over-limit body
+// costs no test memory of its own.
+type fillReader byte
+
+func (f fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestFrontDoorSolveBodyTooLarge: the front door bounds POST /v1/solve
+// bodies like a worker does — 413, nothing routed or queued.
+func TestFrontDoorSolveBodyTooLarge(t *testing.T) {
+	workers, c := startFleet(t, 1, nil)
+	body := io.MultiReader(
+		strings.NewReader(`{"graph":{"nodes":2,"edges":[{"i":0,"j":1,"w":1}]},"solver":"`),
+		io.LimitReader(fillReader('a'), serve.MaxRequestBody),
+		strings.NewReader(`"}`))
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", rec.Code, rec.Body.String())
+	}
+	if st := c.Stats(); st.Routed != 0 || st.CacheHits != 0 {
+		t.Fatalf("over-limit body routed: %+v", st)
+	}
+	if jobs := workers[0].srv.Jobs(); len(jobs) != 0 {
+		t.Fatalf("over-limit body queued %d jobs", len(jobs))
 	}
 }

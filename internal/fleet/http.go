@@ -62,10 +62,14 @@ func writeError(w http.ResponseWriter, err error) {
 
 func (c *Coordinator) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req serve.SolveRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, serve.MaxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "fleet: bad request body: " + err.Error()})
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, map[string]string{"error": "fleet: bad request body: " + err.Error()})
 		return
 	}
 	st, err := c.Submit(r.Context(), req)

@@ -66,9 +66,9 @@ func TestEngineMatchesKernelWalk(t *testing.T) {
 				var eng *Engine
 				var err error
 				if mode == "indexed" {
-					eng, err = NewEngine(n, diag, levels, idx, nil)
+					eng, err = NewEngine(n, 1, diag, levels, idx, nil)
 				} else {
-					eng, err = NewEngine(n, diag, nil, nil, shift)
+					eng, err = NewEngine(n, 1, diag, nil, nil, shift)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -92,7 +92,7 @@ func TestEngineMatchesKernelWalk(t *testing.T) {
 
 func TestEngineZeroLayers(t *testing.T) {
 	diag, levels, idx, _ := engineFixture(t, 5, 3)
-	eng, err := NewEngine(5, diag, levels, idx, nil)
+	eng, err := NewEngine(5, 1, diag, levels, idx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,19 +108,19 @@ func TestEngineZeroLayers(t *testing.T) {
 
 func TestEngineRejectsBadShapes(t *testing.T) {
 	diag, levels, idx, shift := engineFixture(t, 4, 9)
-	if _, err := NewEngine(4, diag[:3], levels, idx, nil); err == nil {
+	if _, err := NewEngine(4, 1, diag[:3], levels, idx, nil); err == nil {
 		t.Fatal("short diagonal accepted")
 	}
-	if _, err := NewEngine(4, diag, levels, idx, shift); err == nil {
+	if _, err := NewEngine(4, 1, diag, levels, idx, shift); err == nil {
 		t.Fatal("both phase forms accepted")
 	}
-	if _, err := NewEngine(4, diag, nil, nil, nil); err == nil {
+	if _, err := NewEngine(4, 1, diag, nil, nil, nil); err == nil {
 		t.Fatal("no phase form accepted")
 	}
-	if _, err := NewEngine(4, diag, levels, idx[:7], nil); err == nil {
+	if _, err := NewEngine(4, 1, diag, levels, idx[:7], nil); err == nil {
 		t.Fatal("short phase index accepted")
 	}
-	if _, err := NewEngine(4, diag, levels, nil, shift); err == nil {
+	if _, err := NewEngine(4, 1, diag, levels, nil, shift); err == nil {
 		t.Fatal("levels without index accepted")
 	}
 }
@@ -135,9 +135,9 @@ func TestEngineZeroAlloc(t *testing.T) {
 		var eng *Engine
 		var err error
 		if mode == "indexed" {
-			eng, err = NewEngine(12, diag, levels, idx, nil)
+			eng, err = NewEngine(12, 1, diag, levels, idx, nil)
 		} else {
-			eng, err = NewEngine(12, diag, nil, nil, shift)
+			eng, err = NewEngine(12, 1, diag, nil, nil, shift)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -163,7 +163,7 @@ func TestEngineOnExplicitPool(t *testing.T) {
 	gammas := []float64{0.4, 0.8}
 	betas := []float64{1.2, 0.3}
 
-	eng, err := NewEngine(n, diag, levels, idx, nil)
+	eng, err := NewEngine(n, 1, diag, levels, idx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestEngineOnExplicitPool(t *testing.T) {
 
 func BenchmarkEngineEvaluate16p3(b *testing.B) {
 	diag, levels, idx, _ := engineFixture(b, 16, 41)
-	eng, err := NewEngine(16, diag, levels, idx, nil)
+	eng, err := NewEngine(16, 1, diag, levels, idx, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

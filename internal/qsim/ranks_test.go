@@ -39,7 +39,7 @@ func TestDistEngineMatchesKernelWalk(t *testing.T) {
 					if ranks > 1<<uint(n-1) {
 						continue
 					}
-					eng, err := NewDistEngine(n, ranks, diag, levels, idx, nil)
+					eng, err := NewEngine(n, ranks, diag, levels, idx, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -90,7 +90,7 @@ func TestDistZ2EngineMatchesKernelWalk(t *testing.T) {
 					if ranks > 1<<uint(nFull-2) {
 						continue
 					}
-					eng, err := NewDistZ2Engine(nFull, ranks, diag[:half], levels, idx[:half], nil)
+					eng, err := NewZ2Engine(nFull, ranks, diag[:half], levels, idx[:half], nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -125,7 +125,7 @@ func TestDistEngineDensePhase(t *testing.T) {
 	gammas, betas := distParams(n, p)
 	want, ws := referenceEvaluate(t, n, shift, diag, gammas, betas)
 	for _, ranks := range []int{1, 4} {
-		eng, err := NewDistEngine(n, ranks, diag, nil, nil, shift)
+		eng, err := NewEngine(n, ranks, diag, nil, nil, shift)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestDistEngineDensePhase(t *testing.T) {
 	zdiag, _, _, zshift := z2Fixture(t, n, 79)
 	zwant, zws := referenceEvaluate(t, n, zshift, zdiag, gammas, betas)
 	half := 1 << uint(n-1)
-	eng, err := NewDistZ2Engine(n, 4, zdiag[:half], nil, nil, zshift[:half])
+	eng, err := NewZ2Engine(n, 4, zdiag[:half], nil, nil, zshift[:half])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestDistEngineDensePhase(t *testing.T) {
 
 func TestDistEngineZeroLayers(t *testing.T) {
 	diag, levels, idx, _ := engineFixture(t, 6, 5)
-	eng, err := NewDistEngine(6, 4, diag, levels, idx, nil)
+	eng, err := NewEngine(6, 4, diag, levels, idx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +175,12 @@ func TestDistEngineZeroLayers(t *testing.T) {
 }
 
 // TestDistEngineStatsLedger hand-computes the fused comm pattern's
-// ledger, the DistEngine counterpart of TestDistStatsCounts: 8 qubits
-// over 4 ranks (2 global qubits, 64-amplitude slices) at p=2 runs one
+// ledger: 8 qubits over 4 ranks (2 global qubits, 64-amplitude slices) at p=2 runs one
 // fused local sweep and two exchange rounds per layer — every exchange
 // round is 4 slice messages of 64·16 bytes.
 func TestDistEngineStatsLedger(t *testing.T) {
 	diag, levels, idx, _ := engineFixture(t, 8, 11)
-	eng, err := NewDistEngine(8, 4, diag, levels, idx, nil)
+	eng, err := NewEngine(8, 4, diag, levels, idx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +208,7 @@ func TestDistEngineStatsLedger(t *testing.T) {
 func TestDistZ2EngineStatsLedger(t *testing.T) {
 	diag, levels, idx, _ := z2Fixture(t, 8, 13)
 	half := 1 << 7
-	eng, err := NewDistZ2Engine(8, 4, diag[:half], levels, idx[:half], nil)
+	eng, err := NewZ2Engine(8, 4, diag[:half], levels, idx[:half], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,12 +230,11 @@ func TestDistZ2EngineStatsLedger(t *testing.T) {
 }
 
 // TestDistEngineZeroAllocLocal pins the rank-local path: at ranks=1
-// there are no exchanges and a warm evaluation must not allocate (the
-// same guarantee Engine gives, preserved through the rank goroutine
-// handoff).
+// the sweep runs inline on the caller's goroutine with no exchanges,
+// and a warm evaluation must not allocate.
 func TestDistEngineZeroAllocLocal(t *testing.T) {
 	diag, levels, idx, _ := engineFixture(t, 12, 21)
-	eng, err := NewDistEngine(12, 1, diag, levels, idx, nil)
+	eng, err := NewEngine(12, 1, diag, levels, idx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,32 +250,32 @@ func TestDistEngineZeroAllocLocal(t *testing.T) {
 
 func TestDistEngineValidation(t *testing.T) {
 	diag, levels, idx, shift := engineFixture(t, 4, 3)
-	if _, err := NewDistEngine(4, 3, diag, levels, idx, nil); err == nil {
+	if _, err := NewEngine(4, 3, diag, levels, idx, nil); err == nil {
 		t.Fatal("non-power-of-two rank count accepted")
 	}
-	if _, err := NewDistEngine(4, 16, diag, levels, idx, nil); err == nil {
+	if _, err := NewEngine(4, 16, diag, levels, idx, nil); err == nil {
 		t.Fatal("rank count leaving no local qubits accepted")
 	}
-	if _, err := NewDistEngine(4, 2, diag[:7], levels, idx, nil); err == nil {
+	if _, err := NewEngine(4, 2, diag[:7], levels, idx, nil); err == nil {
 		t.Fatal("short diagonal accepted")
 	}
-	if _, err := NewDistEngine(4, 2, diag, levels, idx, shift); err == nil {
+	if _, err := NewEngine(4, 2, diag, levels, idx, shift); err == nil {
 		t.Fatal("both phase forms accepted")
 	}
-	if _, err := NewDistEngine(4, 2, diag, nil, nil, nil); err == nil {
+	if _, err := NewEngine(4, 2, diag, nil, nil, nil); err == nil {
 		t.Fatal("no phase form accepted")
 	}
-	if _, err := NewDistEngine(4, 2, diag, levels, nil, nil); err == nil {
+	if _, err := NewEngine(4, 2, diag, levels, nil, nil); err == nil {
 		t.Fatal("levels without index accepted")
 	}
-	if _, err := NewDistEngine(0, 1, diag, levels, idx, nil); err == nil {
+	if _, err := NewEngine(0, 1, diag, levels, idx, nil); err == nil {
 		t.Fatal("zero qubits accepted")
 	}
 	half := len(diag) / 2
-	if _, err := NewDistZ2Engine(4, 8, diag[:half], levels, idx[:half], nil); err == nil {
+	if _, err := NewZ2Engine(4, 8, diag[:half], levels, idx[:half], nil); err == nil {
 		t.Fatal("z2 rank count beyond half-vector accepted")
 	}
-	if _, err := NewDistZ2Engine(1, 1, diag[:1], levels, idx[:1], nil); err == nil {
+	if _, err := NewZ2Engine(1, 1, diag[:1], levels, idx[:1], nil); err == nil {
 		t.Fatal("z2 single qubit accepted")
 	}
 }
@@ -287,7 +285,7 @@ func BenchmarkDistEngine16Q3PRanks4(b *testing.B) { benchmarkDistEngine(b, 16, 4
 
 func benchmarkDistEngine(b *testing.B, n, ranks int) {
 	diag, levels, idx, _ := engineFixture(b, n, 9)
-	eng, err := NewDistEngine(n, ranks, diag, levels, idx, nil)
+	eng, err := NewEngine(n, ranks, diag, levels, idx, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

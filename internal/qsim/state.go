@@ -23,7 +23,8 @@
 //     top-K-amplitude queries (the paper decodes the best-amplitude bit
 //     string; top-K is its suggested improvement);
 //
-//   - a block-distributed mode (dist.go) that reproduces the
+//   - the Engine's multi-rank mode (ranks.go): rank slices with
+//     pairwise slice exchanges over an hpc comm world, the
 //     cache-blocking rank-exchange pattern of the MPI-parallel aer
 //     simulator (Doi & Horii), for the scaling experiments.
 //

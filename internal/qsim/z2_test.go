@@ -65,9 +65,9 @@ func TestZ2EngineMatchesKernelWalk(t *testing.T) {
 					var eng *Engine
 					var err error
 					if mode == "indexed" {
-						eng, err = NewZ2Engine(nFull, diag[:half], levels, idx[:half], nil)
+						eng, err = NewZ2Engine(nFull, 1, diag[:half], levels, idx[:half], nil)
 					} else {
-						eng, err = NewZ2Engine(nFull, diag[:half], nil, nil, shift[:half])
+						eng, err = NewZ2Engine(nFull, 1, diag[:half], nil, nil, shift[:half])
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -101,7 +101,7 @@ func z2EvaluatedState(t testing.TB, nFull int, seed uint64) *State {
 	t.Helper()
 	diag, levels, idx, _ := z2Fixture(t, nFull, seed)
 	half := 1 << uint(nFull-1)
-	eng, err := NewZ2Engine(nFull, diag[:half], levels, idx[:half], nil)
+	eng, err := NewZ2Engine(nFull, 1, diag[:half], levels, idx[:half], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,19 +202,19 @@ func TestZ2CollapseMaterializes(t *testing.T) {
 
 func TestZ2EngineRejectsBadShapes(t *testing.T) {
 	diag, levels, idx, shift := z2Fixture(t, 4, 9)
-	if _, err := NewZ2Engine(1, []float64{0}, levels, []int32{0}, nil); err == nil {
+	if _, err := NewZ2Engine(1, 1, []float64{0}, levels, []int32{0}, nil); err == nil {
 		t.Fatal("single-qubit reduction accepted")
 	}
-	if _, err := NewZ2Engine(4, diag, levels, idx, nil); err == nil {
+	if _, err := NewZ2Engine(4, 1, diag, levels, idx, nil); err == nil {
 		t.Fatal("full-length diagonal accepted for reduced engine")
 	}
-	if _, err := NewZ2Engine(4, diag[:8], levels, idx, nil); err == nil {
+	if _, err := NewZ2Engine(4, 1, diag[:8], levels, idx, nil); err == nil {
 		t.Fatal("full-length phase index accepted for reduced engine")
 	}
-	if _, err := NewZ2Engine(4, diag[:8], nil, nil, shift); err == nil {
+	if _, err := NewZ2Engine(4, 1, diag[:8], nil, nil, shift); err == nil {
 		t.Fatal("full-length dense phase diagonal accepted for reduced engine")
 	}
-	if _, err := NewZ2Engine(4, diag[:8], levels, idx[:8], shift[:8]); err == nil {
+	if _, err := NewZ2Engine(4, 1, diag[:8], levels, idx[:8], shift[:8]); err == nil {
 		t.Fatal("both phase forms accepted")
 	}
 }
@@ -232,9 +232,9 @@ func TestZ2EngineZeroAlloc(t *testing.T) {
 			var eng *Engine
 			var err error
 			if mode == "indexed" {
-				eng, err = NewZ2Engine(nFull, diag[:half], levels, idx[:half], nil)
+				eng, err = NewZ2Engine(nFull, 1, diag[:half], levels, idx[:half], nil)
 			} else {
-				eng, err = NewZ2Engine(nFull, diag[:half], nil, nil, shift[:half])
+				eng, err = NewZ2Engine(nFull, 1, diag[:half], nil, nil, shift[:half])
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -255,7 +255,7 @@ func TestZ2EngineZeroAlloc(t *testing.T) {
 // amplitudes.
 func BenchmarkEngineZ2Evaluate16p3(b *testing.B) {
 	diag, levels, idx, _ := z2Fixture(b, 16, 41)
-	eng, err := NewZ2Engine(16, diag[:1<<15], levels, idx[:1<<15], nil)
+	eng, err := NewZ2Engine(16, 1, diag[:1<<15], levels, idx[:1<<15], nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -21,10 +21,12 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// maxCheckpointImport bounds PUT /v1/jobs/{id}/checkpoint bodies: a
-// checkpoint line is ~100 bytes per task, so 64 MiB is orders of
+// MaxRequestBody bounds request bodies: POST /v1/solve (here and at the
+// fleet front door; larger bodies get 413) and PUT
+// /v1/jobs/{id}/checkpoint. A checkpoint line is ~100 bytes per task
+// and a solve request ~30 bytes per edge, so 64 MiB is orders of
 // magnitude past any real solve.
-const maxCheckpointImport = 64 << 20
+const MaxRequestBody = 64 << 20
 
 // Handler returns the HTTP API:
 //
@@ -37,8 +39,8 @@ const maxCheckpointImport = 64 << 20
 //	PUT  /v1/jobs/{id}/checkpoint  seed a checkpoint (fleet re-park receiver)
 //	GET  /healthz           liveness/drain state
 //
-// Submission errors map to 400 (bad request), 429 (queue full) and
-// 503 (draining).
+// Submission errors map to 400 (bad request), 413 (body over
+// MaxRequestBody), 429 (queue full) and 503 (draining).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/solve", s.handleSolve)
@@ -75,6 +77,8 @@ func writeError(w http.ResponseWriter, err error, retryAfter int) {
 		code = http.StatusServiceUnavailable
 	case errors.Is(err, ErrNotFound):
 		code = http.StatusNotFound
+	case errors.As(err, new(*http.MaxBytesError)):
+		code = http.StatusRequestEntityTooLarge
 	}
 	if retryAfter > 0 && (code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable) {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
@@ -84,7 +88,7 @@ func writeError(w http.ResponseWriter, err error, retryAfter int) {
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, fmt.Errorf("serve: bad request body: %w", err), 0)
@@ -142,7 +146,7 @@ func (s *Server) handleCheckpointGet(w http.ResponseWriter, r *http.Request) {
 // handleCheckpointPut seeds a checkpoint for a job id before it is
 // (re)submitted here — the receiver half of the re-park hand-off.
 func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxCheckpointImport))
+	data, err := io.ReadAll(io.LimitReader(r.Body, MaxRequestBody))
 	if err != nil {
 		writeError(w, fmt.Errorf("serve: read checkpoint body: %w", err), 0)
 		return

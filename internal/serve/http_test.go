@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -196,5 +197,43 @@ func TestHTTPAPISurface(t *testing.T) {
 	lresp.Body.Close()
 	if len(list) != 1 || list[0].ID != st.ID {
 		t.Fatalf("jobs listing %+v, want exactly %s", list, st.ID)
+	}
+}
+
+// fillReader yields an endless run of one byte, so an over-limit body
+// costs no test memory of its own.
+type fillReader byte
+
+func (f fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// overLimitSolveBody is a well-formed SolveRequest whose solver string
+// pushes the body one byte past MaxRequestBody.
+func overLimitSolveBody() io.Reader {
+	return io.MultiReader(
+		strings.NewReader(`{"graph":{"nodes":2,"edges":[{"i":0,"j":1,"w":1}]},"solver":"`),
+		io.LimitReader(fillReader('a'), MaxRequestBody),
+		strings.NewReader(`"}`))
+}
+
+// TestSolveBodyTooLarge: a POST /v1/solve body past MaxRequestBody is
+// refused with 413 and nothing is queued.
+func TestSolveBodyTooLarge(t *testing.T) {
+	s, err := New(Config{GlobalParallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", overLimitSolveBody()))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", rec.Code, rec.Body.String())
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("over-limit body queued %d jobs", len(jobs))
 	}
 }
